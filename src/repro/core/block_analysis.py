@@ -27,7 +27,9 @@ Two materialization paths produce identical results:
 (subgraph as a ``Graph``), while :func:`analyze_block_csr` consumes a
 :class:`BlockDescriptor` plus CSR views and builds the chosen backend
 straight from a packed adjacency bitmap — no intermediate ``Graph`` —
-which is what shared-memory workers run.
+which is what shared-memory workers run.  Both paths peel each block
+once, with the same :func:`~repro.graph.cores.peel_order` on the same
+member order, for its degeneracy feature and its anchor order alike.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from repro.decision.features import (
 from repro.decision.paper_tree import paper_tree, select_combo
 from repro.decision.tree import DecisionTree
 from repro.graph.adjacency import Graph, Node
-from repro.graph.csr import BitmapScratch, extract_block_bitmap
+from repro.graph.cores import peel_order
+from repro.graph.csr import BitmapScratch, bitmap_neighbors, extract_block_bitmap
 from repro.mce.anchored import enumerate_anchored_native
 from repro.mce.backends import Backend, backend_from_bitmap, build_backend
 from repro.mce.bitmatrix import (
@@ -118,7 +121,8 @@ def analyze_block(
         the combination used, the block features, and the wall-clock time.
     """
     start = time.perf_counter()
-    features = BlockFeatures.of(block.graph)
+    kernel_order, degeneracy = _peel_block(block)
+    features = BlockFeatures.of(block.graph, degeneracy=degeneracy)
     selection_seconds = 0.0
     if combo is None:
         select_start = time.perf_counter()
@@ -129,7 +133,6 @@ def analyze_block(
 
     candidates = backend.make_from_labels(list(block.kernel) + list(block.border))
     excluded = backend.make_from_labels(block.visited)
-    kernel_order = _kernel_degeneracy_order(block)
     member_labels = [backend.label(i) for i in range(block.graph.num_nodes)]
     emitter = make_emitter(member_labels)
     anchors_skipped = 0
@@ -221,18 +224,17 @@ def block_clique_bound_csr(
     return clique_upper_bound_packed(bitmap)
 
 
-def _kernel_degeneracy_order(block: Block) -> list[Node]:
-    """The block's kernel nodes in degeneracy (peeling) order.
+def _peel_block(block: Block) -> tuple[list[Node], int]:
+    """The block's kernel nodes in degeneracy order, and its degeneracy.
 
-    Must match :func:`repro.mce.bitmatrix.degeneracy_order_packed` on the
-    descriptor's member ordering exactly — same smallest-index tie-break
-    among minimum-residual-degree nodes — so a block analysed in a
-    shared-memory worker (:func:`analyze_block_csr`) emits its cliques in
-    the same order as the serial path, including when a crashed worker's
-    block is retried in the parent.
+    One :func:`~repro.graph.cores.peel_order` over the members in
+    descriptor order (kernel, then border and visited sorted by ``str``)
+    — the same peel, on the same member order, that
+    :func:`analyze_block_csr` runs on the packed bitmap, so a block
+    analysed in a shared-memory worker emits its cliques in the same
+    order as the serial path, including when a crashed worker's block is
+    retried in the parent.
     """
-    if len(block.kernel) <= 1:
-        return list(block.kernel)
     members = (
         list(block.kernel)
         + sorted(block.border, key=str)
@@ -240,27 +242,11 @@ def _kernel_degeneracy_order(block: Block) -> list[Node]:
     )
     index_of = {node: i for i, node in enumerate(members)}
     graph = block.graph
-    neighbor_ids = [
-        [index_of[other] for other in graph.neighbors(node)] for node in members
-    ]
-    degrees = [len(ids) for ids in neighbor_ids]
-    alive = [True] * len(members)
+    order, degeneracy = peel_order(
+        [[index_of[other] for other in graph.neighbors(node)] for node in members]
+    )
     num_kernel = len(block.kernel)
-    order: list[Node] = []
-    for _ in range(len(members)):
-        v = -1
-        best = len(members) + 1
-        for i, degree in enumerate(degrees):
-            if alive[i] and degree < best:
-                v = i
-                best = degree
-        alive[v] = False
-        if v < num_kernel:
-            order.append(members[v])
-        for other in neighbor_ids[v]:
-            if alive[other]:
-                degrees[other] -= 1
-    return order
+    return [members[v] for v in order if v < num_kernel], degeneracy
 
 
 def _emit_anchored(
@@ -398,44 +384,56 @@ def analyze_block_csr(
     :func:`analyze_block`.
     """
     start = time.perf_counter()
-    bitmap, features, combo, backend, pivot_rule, num_members, member_labels = (
-        _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
-    )
-    selection_seconds = _LAST_SELECTION_SECONDS
+    block = _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
+    backend = block.backend
     num_kernel = len(descriptor.kernel_ids)
     num_candidates = num_kernel + len(descriptor.border_ids)
     candidates = backend.make(range(num_candidates))
-    excluded = backend.make(range(num_candidates, num_members))
-    kernel_order = _kernel_order_of(bitmap, num_kernel)
-    emitter = make_emitter(member_labels)
+    excluded = backend.make(range(num_candidates, backend.n))
+    emitter = make_emitter(block.member_labels)
     anchors_skipped = 0
-    for anchor in kernel_order:
+    for anchor in block.kernel_order:
         if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
             anchors_skipped += 1
         else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
+            _emit_anchored(
+                emitter, backend, anchor, candidates, excluded, block.pivot_rule
+            )
         candidates = backend.remove(candidates, anchor)
         excluded = backend.add(excluded, anchor)
     extra: dict[str, float] = {}
     if anchors_skipped:
         extra["anchors_skipped"] = float(anchors_skipped)
-    if selection_seconds:
-        extra["selection_seconds"] = selection_seconds
+    if block.selection_seconds:
+        extra["selection_seconds"] = block.selection_seconds
     return BlockReport(
         cliques=emitter.build(),
-        combo=combo,
-        features=features,
+        combo=block.combo,
+        features=block.features,
         seconds=time.perf_counter() - start,
         kernel_nodes=num_kernel,
         extra=extra,
     )
 
 
-# Selector wall-clock of the most recent _materialize_csr call in this
-# process (0.0 when a forced combo bypassed the tree).  A module global
-# rather than a widened return tuple: only the whole-block path reports
-# it, and worker processes each keep their own copy.
-_LAST_SELECTION_SECONDS = 0.0
+@dataclass(frozen=True)
+class _MaterializedBlock:
+    """What :func:`_materialize_csr` builds for one block or subtask.
+
+    ``kernel_order`` lists the kernel member positions in degeneracy
+    (peeling) order; ``member_labels`` doubles as the emitters'
+    per-block decode table; ``selection_seconds`` is the selector's
+    wall-clock (0.0 when a forced combo bypassed the tree).
+    """
+
+    bitmap: np.ndarray
+    features: BlockFeatures
+    combo: Combo
+    backend: Backend
+    pivot_rule: object
+    member_labels: list[Node]
+    kernel_order: list[int]
+    selection_seconds: float
 
 
 def _materialize_csr(
@@ -446,46 +444,43 @@ def _materialize_csr(
     tree: DecisionTree | None,
     combo: Combo | None,
     scratch: BitmapScratch | None,
-):
+) -> _MaterializedBlock:
     """Shared CSR→backend materialization for blocks and subtasks.
 
-    Returns ``(bitmap, features, combo, backend, pivot_rule, n,
-    member_labels)``.  The member ordering (kernel, then border, then
-    visited) is a pure function of the descriptor's id arrays, so every
-    fragment of a split block sees the identical bitmap, features, and
-    combo choice as an unsplit analysis of the same block —
-    ``member_labels`` doubles as the emitters' per-block decode table.
+    One gather packs the block's bitmap, one peel over its neighbour
+    lists yields both the degeneracy feature and the kernel anchor
+    order, and the ``lists`` backend is built from those same lists.
+    The member ordering (kernel, then border, then visited) is a pure
+    function of the descriptor's id arrays, so every fragment of a
+    split block sees the identical bitmap, features, and combo choice as
+    an unsplit analysis of the same block.
     """
     member_ids = np.concatenate(
         [descriptor.kernel_ids, descriptor.border_ids, descriptor.visited_ids]
     )
     bitmap = extract_block_bitmap(indptr, indices, member_ids, scratch)
-    features = features_from_bitmap(bitmap)
-    global _LAST_SELECTION_SECONDS
-    _LAST_SELECTION_SECONDS = 0.0
+    neighbors = bitmap_neighbors(bitmap)
+    order, degeneracy = degeneracy_order_packed(
+        bitmap, neighbors, with_degeneracy=True
+    )
+    features = features_from_bitmap(bitmap, degeneracy)
+    selection_seconds = 0.0
     if combo is None:
         select_start = time.perf_counter()
         combo = select_combo(tree if tree is not None else paper_tree(), features)
-        _LAST_SELECTION_SECONDS = time.perf_counter() - select_start
+        selection_seconds = time.perf_counter() - select_start
     member_labels = [labels[i] for i in member_ids.tolist()]
-    backend = backend_from_bitmap(combo.backend, member_labels, bitmap)
-    pivot_rule = get_pivot_rule(combo.algorithm)
-    return (
-        bitmap,
-        features,
-        combo,
-        backend,
-        pivot_rule,
-        len(member_ids),
-        member_labels,
+    num_kernel = len(descriptor.kernel_ids)
+    return _MaterializedBlock(
+        bitmap=bitmap,
+        features=features,
+        combo=combo,
+        backend=backend_from_bitmap(combo.backend, member_labels, bitmap, neighbors),
+        pivot_rule=get_pivot_rule(combo.algorithm),
+        member_labels=member_labels,
+        kernel_order=[v for v in order if v < num_kernel],
+        selection_seconds=selection_seconds,
     )
-
-
-def _kernel_order_of(bitmap: np.ndarray, num_kernel: int) -> list[int]:
-    """Kernel member positions in degeneracy (peeling) order."""
-    if num_kernel > 1:
-        return [i for i in degeneracy_order_packed(bitmap) if i < num_kernel]
-    return list(range(num_kernel))
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +488,7 @@ def _kernel_order_of(bitmap: np.ndarray, num_kernel: int) -> list[int]:
 # ----------------------------------------------------------------------
 #
 # Thousands of tiny blocks each pay a full per-block round-trip —
-# bitmap extraction, two degeneracy peels, backend construction, and a
+# bitmap extraction, a degeneracy peel, backend construction, and a
 # batched-kernel launch per anchor — even though each launch advances
 # only a handful of states.  Bucketing groups small blocks by padded
 # shape so the whole group shares ONE lockstep peel and ONE multi-block
@@ -641,8 +636,7 @@ def analyze_bucket_csr(
         bitmap = extract_block_bitmap(indptr, indices, member_ids, scratch)
         stacked[b, : bitmap.shape[0], : bitmap.shape[1]] = bitmap
     # One lockstep peel yields every block's degeneracy (a feature) AND
-    # its kernel anchor order — the per-block path pays two Python-loop
-    # peels for the same information.
+    # its kernel anchor order, vectorized across the bucket.
     degrees = popcount_rows(stacked.reshape(-1, words)).reshape(num_blocks, n_pad)
     orders, degeneracies = degeneracy_orders_many(stacked, sizes)
     num_edges = degrees.sum(axis=1) // 2
@@ -996,19 +990,17 @@ def analyze_block_csr_splittable(
     Blocks with fewer than two kernel anchors never split.
     """
     start_time = time.perf_counter()
-    bitmap, features, combo, backend, pivot_rule, num_members, member_labels = (
-        _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
-    )
+    block = _materialize_csr(descriptor, indptr, indices, labels, tree, combo, scratch)
+    backend, kernel_order = block.backend, block.kernel_order
     num_kernel = len(descriptor.kernel_ids)
     num_candidates = num_kernel + len(descriptor.border_ids)
-    kernel_order = _kernel_order_of(bitmap, num_kernel)
     splittable = len(kernel_order) >= 2
     if probe and splittable:
-        costs = anchor_cost_estimates(bitmap, kernel_order, num_candidates)
+        costs = anchor_cost_estimates(block.bitmap, kernel_order, num_candidates)
         partial = BlockReport(
-            cliques=make_emitter(member_labels).build(),
-            combo=combo,
-            features=features,
+            cliques=make_emitter(block.member_labels).build(),
+            combo=block.combo,
+            features=block.features,
             seconds=time.perf_counter() - start_time,
             kernel_nodes=num_kernel,
         )
@@ -1020,14 +1012,16 @@ def analyze_block_csr_splittable(
             anchor_costs=costs,
         )
     candidates = backend.make(range(num_candidates))
-    excluded = backend.make(range(num_candidates, num_members))
-    emitter = make_emitter(member_labels)
+    excluded = backend.make(range(num_candidates, backend.n))
+    emitter = make_emitter(block.member_labels)
     anchors_skipped = 0
     for position, anchor in enumerate(kernel_order):
         if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
             anchors_skipped += 1
         else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
+            _emit_anchored(
+                emitter, backend, anchor, candidates, excluded, block.pivot_rule
+            )
         candidates = backend.remove(candidates, anchor)
         excluded = backend.add(excluded, anchor)
         done = position + 1
@@ -1038,11 +1032,11 @@ def analyze_block_csr_splittable(
             and time.perf_counter() - start_time > budget_seconds
         )
         if overrun:
-            costs = anchor_cost_estimates(bitmap, kernel_order, num_candidates)
+            costs = anchor_cost_estimates(block.bitmap, kernel_order, num_candidates)
             partial = BlockReport(
                 cliques=emitter.build(),
-                combo=combo,
-                features=features,
+                combo=block.combo,
+                features=block.features,
                 seconds=time.perf_counter() - start_time,
                 kernel_nodes=num_kernel,
                 extra=(
@@ -1060,8 +1054,8 @@ def analyze_block_csr_splittable(
             )
     return BlockReport(
         cliques=emitter.build(),
-        combo=combo,
-        features=features,
+        combo=block.combo,
+        features=block.features,
         seconds=time.perf_counter() - start_time,
         kernel_nodes=num_kernel,
         extra={"anchors_skipped": float(anchors_skipped)} if anchors_skipped else {},
@@ -1089,9 +1083,8 @@ def analyze_subtask_csr(
     (same test as the unsplit sweep, so fragments stay bit-compatible).
     """
     start_time = time.perf_counter()
-    bitmap, features, combo, backend, pivot_rule, num_members, member_labels = (
-        _materialize_csr(subtask, indptr, indices, labels, tree, combo, scratch)
-    )
+    block = _materialize_csr(subtask, indptr, indices, labels, tree, combo, scratch)
+    backend = block.backend
     num_kernel = len(subtask.kernel_ids)
     num_candidates = num_kernel + len(subtask.border_ids)
     processed = [int(i) for i in subtask.kernel_order[: subtask.start]]
@@ -1099,23 +1092,23 @@ def analyze_subtask_csr(
     candidates = backend.make(
         i for i in range(num_candidates) if i not in processed_set
     )
-    excluded = backend.make(
-        list(range(num_candidates, num_members)) + processed
-    )
-    emitter = make_emitter(member_labels)
+    excluded = backend.make(list(range(num_candidates, backend.n)) + processed)
+    emitter = make_emitter(block.member_labels)
     anchors_skipped = 0
     for position in range(subtask.start, subtask.stop):
         anchor = int(subtask.kernel_order[position])
         if _anchor_below_floor(backend, anchor, candidates, min_clique_size):
             anchors_skipped += 1
         else:
-            _emit_anchored(emitter, backend, anchor, candidates, excluded, pivot_rule)
+            _emit_anchored(
+                emitter, backend, anchor, candidates, excluded, block.pivot_rule
+            )
         candidates = backend.remove(candidates, anchor)
         excluded = backend.add(excluded, anchor)
     return BlockReport(
         cliques=emitter.build(),
-        combo=combo,
-        features=features,
+        combo=block.combo,
+        features=block.features,
         seconds=time.perf_counter() - start_time,
         kernel_nodes=subtask.stop - subtask.start,
         extra={"anchors_skipped": float(anchors_skipped)} if anchors_skipped else {},

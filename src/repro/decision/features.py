@@ -40,13 +40,19 @@ class BlockFeatures:
     d_star: int
 
     @classmethod
-    def of(cls, graph: Graph) -> "BlockFeatures":
-        """Extract the features of ``graph`` (linear time except density)."""
+    def of(cls, graph: Graph, degeneracy: int | None = None) -> "BlockFeatures":
+        """Extract the features of ``graph`` (linear time except density).
+
+        ``degeneracy`` passes a value the caller already peeled (block
+        analysis peels each block once, for its anchor order too).
+        """
         return cls(
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
             density=graph.density(),
-            degeneracy=graph_degeneracy(graph),
+            degeneracy=(
+                graph_degeneracy(graph) if degeneracy is None else degeneracy
+            ),
             d_star=graph_d_star(graph),
         )
 
@@ -89,16 +95,19 @@ def extract_features(graph: Graph) -> BlockFeatures:
     return BlockFeatures.of(graph)
 
 
-def features_from_bitmap(bitmap: np.ndarray) -> BlockFeatures:
+def features_from_bitmap(
+    bitmap: np.ndarray, degeneracy: int | None = None
+) -> BlockFeatures:
     """Extract :class:`BlockFeatures` from a packed adjacency bitmap.
 
     The bitmap-direct twin of :meth:`BlockFeatures.of` used by the
     zero-copy worker path: all five parameters are computed from the
     ``n × ceil(n/64)`` ``uint64`` adjacency rows (degrees by word
-    popcount, degeneracy by packed peeling, ``d*`` from the degree
-    sequence) and agree exactly with the ``Graph``-based extraction on
-    the same subgraph, so the decision tree selects the same combination
-    no matter which path materialized the block.
+    popcount, ``d*`` from the degree sequence, degeneracy by the shared
+    peel unless ``degeneracy`` passes the value the caller's own peel
+    found) and agree exactly with the ``Graph``-based extraction on the
+    same subgraph, so the decision tree selects the same combination no
+    matter which path materialized the block.
     """
     from repro.mce.bitmatrix import degeneracy_packed, popcount_rows
 
@@ -110,7 +119,7 @@ def features_from_bitmap(bitmap: np.ndarray) -> BlockFeatures:
         num_nodes=n,
         num_edges=num_edges,
         density=density,
-        degeneracy=degeneracy_packed(bitmap),
+        degeneracy=degeneracy_packed(bitmap) if degeneracy is None else degeneracy,
         d_star=_d_star_of_degrees(degrees, n),
     )
 

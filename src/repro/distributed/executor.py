@@ -46,7 +46,12 @@ import pickle
 import resource
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    as_completed,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import parent_process
@@ -776,25 +781,22 @@ class SharedMemoryExecutor:
             pending = {
                 pool.submit(_shm_analyze, descriptors[i]): i for i in order
             }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    block_id = pending.pop(future)
-                    try:
-                        _, report = future.result()
-                    except BrokenProcessPool:
-                        report = self._retry(
-                            blocks[block_id], block_id, tree, combo, run_log
-                        )
-                    except ExecutorError as exc:
-                        exc.segment_path = _segment_path_of(run_log)
-                        raise
-                    if run_log is not None:
-                        trace.record_flush(
-                            run_log.record(level, block_id, report)
-                        )
-                    results[block_id] = report
-                    trace.record(_timing_of(block_id, report))
+            # One waiter over every future, not one wait() per completion.
+            for future in as_completed(list(pending)):
+                block_id = pending.pop(future)
+                try:
+                    _, report = future.result()
+                except BrokenProcessPool:
+                    report = self._retry(
+                        blocks[block_id], block_id, tree, combo, run_log
+                    )
+                except ExecutorError as exc:
+                    exc.segment_path = _segment_path_of(run_log)
+                    raise
+                if run_log is not None:
+                    trace.record_flush(run_log.record(level, block_id, report))
+                results[block_id] = report
+                trace.record(_timing_of(block_id, report))
 
     def _effective_cutoff(self, pending: "list[BlockDescriptor]") -> int:
         """The batch size cutoff: explicit, or adapted to this batch."""
@@ -889,24 +891,22 @@ class SharedMemoryExecutor:
                 kind, payload = units[rank]
                 fn = _shm_analyze_batch if kind == "bucket" else _shm_analyze
                 futures[pool.submit(fn, payload)] = units[rank]
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    item = futures.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        run_in_parent(item)
-                        continue
-                    except ExecutorError as exc:
-                        exc.segment_path = _segment_path_of(run_log)
-                        raise
-                    if item[0] == "bucket":
-                        pairs, stats = outcome
-                        finish_bucket(item[1], pairs, stats)
-                    else:
-                        block_id, report = outcome
-                        finish_block(block_id, report)
+            for future in as_completed(list(futures)):
+                item = futures.pop(future)
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    run_in_parent(item)
+                    continue
+                except ExecutorError as exc:
+                    exc.segment_path = _segment_path_of(run_log)
+                    raise
+                if item[0] == "bucket":
+                    pairs, stats = outcome
+                    finish_bucket(item[1], pairs, stats)
+                else:
+                    block_id, report = outcome
+                    finish_block(block_id, report)
 
     def _analyze_bucket_in_parent(
         self,
@@ -1619,9 +1619,12 @@ class PipelineSession:
             self._flush_buckets(self._batch_level)
         for released in self._buffer.drain():
             self._dispatch(*released)  # type: ignore[misc]
+        # as_completed over a snapshot installs one waiter per harvest
+        # instead of one wait() over every outstanding future per
+        # completion; the outer loop picks up subtasks that splits
+        # submitted while the snapshot was being harvested.
         while self._futures:
-            done, _ = wait(self._futures, return_when=FIRST_COMPLETED)
-            for future in done:
+            for future in as_completed(list(self._futures)):
                 level, descriptor, subtask, splitter_pid = self._futures.pop(
                     future
                 )

@@ -11,13 +11,17 @@ quantities the rest of the library needs:
 * :func:`degeneracy` — the maximum core number (a.k.a. coreness);
 * :func:`degeneracy_ordering` — the peeling order used by the
   Eppstein–Strash MCE algorithm;
+* :func:`peel_order` — the same peel over index neighbour lists with a
+  smallest-index tie-break, returning order and degeneracy together; it
+  is the one peel block analysis runs per block, on every path;
 * :func:`k_core` — the node set of the ``k``-core, used by the convergence
   guard and by Theorem 1 experiments.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import heapq
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -175,6 +179,42 @@ def degeneracy_ordering(graph: Graph) -> list[Node]:
             if degree - 1 < current:
                 current = degree - 1
     return order
+
+
+def peel_order(neighbors: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Min-degree peeling order and degeneracy of a graph on ``0..n-1``.
+
+    ``neighbors[v]`` lists the neighbours of ``v``.  The peel repeatedly
+    removes the node of minimum residual degree, breaking ties toward the
+    smallest index, and decrements its surviving neighbours; the largest
+    residual degree seen at a removal is the degeneracy.  A binary heap
+    with lazy deletion keeps each step ``O(log n)``, so the whole peel is
+    ``O((n + m) log n)`` — one pass that yields both the kernel anchor
+    order and the degeneracy feature of a block.  The tie-break is part
+    of the contract: it fixes the anchor order, hence the order in which
+    every analysis path emits a block's cliques.
+    """
+    degrees = [len(row) for row in neighbors]
+    heap = [(degree, v) for v, degree in enumerate(degrees)]
+    heapq.heapify(heap)
+    alive = [True] * len(degrees)
+    order: list[int] = []
+    degeneracy = 0
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        degree, v = pop(heap)
+        # Degrees only fall, so an entry is current iff it matches.
+        if not alive[v] or degree != degrees[v]:
+            continue
+        alive[v] = False
+        order.append(v)
+        if degree > degeneracy:
+            degeneracy = degree
+        for u in neighbors[v]:
+            if alive[u]:
+                degrees[u] -= 1
+                push(heap, (degrees[u], u))
+    return order, degeneracy
 
 
 def k_core(graph: Graph, k: int) -> frozenset[Node]:

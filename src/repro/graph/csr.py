@@ -20,9 +20,11 @@ every attached process only maps the existing segments and calls
 :func:`extract_block_bitmap` turns a CSR slice (any member-id array over
 the snapshot) into the packed ``n × ceil(n/64)`` adjacency bitmap the
 ``bitmatrix`` kernel and the ``from_packed`` backend constructors
-consume — the per-block materialization step of the zero-copy worker
-path, with a :class:`BitmapScratch` cache so repeated blocks of the
-same size reuse one buffer instead of allocating per block.
+consume — the per-block gather of the zero-copy worker path, one
+vectorized pass over all member rows, with a :class:`BitmapScratch`
+cache so repeated blocks of the same size reuse one buffer instead of
+allocating per block.  :func:`bitmap_neighbors` reads the bitmap back
+as local neighbour lists for the block's peel and the ``lists`` backend.
 """
 
 from __future__ import annotations
@@ -86,10 +88,12 @@ def extract_block_bitmap(
     ``member_ids`` lists the block's members by their dense indices in
     the CSR snapshot; the result is an ``n × ceil(n/64)`` ``uint64``
     array where row ``i`` has bit ``j`` set iff members ``i`` and ``j``
-    (in ``member_ids`` order) are adjacent.  Each member's CSR row is
-    intersected with the member set via one vectorized ``searchsorted``
-    — no ``Graph``, no per-edge Python objects — so this is the direct
-    CSR → kernel-input path of the shared-memory executor.
+    (in ``member_ids`` order) are adjacent.  All member rows are
+    gathered in one vectorized pass — one flat index array over
+    ``indices``, one ``searchsorted`` against the sorted member set, one
+    ``bitwise_or.at`` — with no per-member Python loop, no ``Graph`` and
+    no per-edge Python objects, so this is the direct CSR → kernel-input
+    path of the shared-memory executor.
 
     With a ``scratch`` cache the bitmap is written into a reused buffer
     (see :class:`BitmapScratch` for the lifetime contract); without one
@@ -102,21 +106,50 @@ def extract_block_bitmap(
     )
     if n == 0:
         return bitmap
+    starts = indptr[member_ids]
+    counts = indptr[member_ids + 1] - starts
+    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    # Entry k of member i's row sits at starts[i] + (k - its first flat slot).
+    flat = np.arange(len(rows), dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
+    )
+    neighbors = indices[flat]
     order = np.argsort(member_ids, kind="stable")
     sorted_ids = member_ids[order]
-    for i in range(n):
-        u = int(member_ids[i])
-        row = indices[indptr[u] : indptr[u + 1]]
-        if not len(row):
-            continue
-        positions = np.searchsorted(sorted_ids, row)
-        positions[positions == n] = 0  # out-of-range probes; masked below
-        hits = sorted_ids[positions] == row
-        local = order[positions[hits]]
-        np.bitwise_or.at(
-            bitmap[i], local >> 6, _ONE << (local.astype(np.uint64) & np.uint64(63))
-        )
+    positions = np.minimum(np.searchsorted(sorted_ids, neighbors), n - 1)
+    hits = sorted_ids[positions] == neighbors
+    cols = order[positions[hits]]
+    np.bitwise_or.at(
+        bitmap,
+        (rows[hits], cols >> 6),
+        _ONE << (cols.astype(np.uint64) & np.uint64(63)),
+    )
     return bitmap
+
+
+def bitmap_neighbors(bitmap: np.ndarray) -> list[list[int]]:
+    """The rows of a packed adjacency bitmap as sorted neighbour lists.
+
+    Row ``i`` of the result lists, ascending, the ``j`` whose bit is set
+    in row ``i`` of ``bitmap``.  Only the non-zero words are unpacked, so
+    the work and memory follow the number of set words rather than
+    ``n²`` — a whole-graph bitmap of a sparse network stays cheap.  The
+    lists feed :func:`repro.graph.cores.peel_order` and the ``lists``
+    backend, which both walk neighbours one at a time.
+    """
+    n = bitmap.shape[0]
+    rows, words = np.nonzero(bitmap)
+    bits = np.unpackbits(
+        np.ascontiguousarray(bitmap[rows, words]).view(np.uint8).reshape(-1, 8),
+        axis=1,
+        bitorder="little",
+    )
+    hit, bit = np.nonzero(bits)
+    flat = ((words[hit] << 6) + bit).tolist()
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[hit], minlength=n), out=bounds[1:])
+    ends = bounds.tolist()
+    return [flat[ends[i] : ends[i + 1]] for i in range(n)]
 
 
 class CSRGraph:

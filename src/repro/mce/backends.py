@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import AlgorithmNotFoundError
 from repro.graph.adjacency import Graph, Node
+from repro.graph.csr import bitmap_neighbors
 
 # A backend-native node set; the concrete type depends on the backend.
 NodeSet = Any
@@ -68,11 +69,17 @@ class Backend(ABC):
         shared-memory workers build their per-block backend straight
         from the attached CSR segment.
         """
+        backend = cls._with_labels(labels)
+        backend._load_packed(bitmap)
+        return backend
+
+    @classmethod
+    def _with_labels(cls, labels: list[Node]) -> "Backend":
+        """An instance holding only the label ↔ index maps, to be filled in."""
         backend = cls.__new__(cls)
         backend._labels = list(labels)
         backend._index = {node: i for i, node in enumerate(backend._labels)}
         backend.n = len(backend._labels)
-        backend._load_packed(bitmap)
         return backend
 
     @abstractmethod
@@ -172,11 +179,23 @@ class SetBackend(Backend):
             for node in self._labels
         ]
 
+    @classmethod
+    def from_neighbors(
+        cls, labels: list[Node], neighbors: list[list[int]]
+    ) -> "SetBackend":
+        """Materialize from index neighbour lists (``neighbors[i]`` ∋ ``j`` iff ``i ~ j``).
+
+        The lists form :func:`~repro.graph.csr.bitmap_neighbors` returns
+        for a packed bitmap, so a caller that already walked the bitmap
+        (block analysis, for its peel) builds this backend without
+        touching the bitmap again.
+        """
+        backend = cls._with_labels(labels)
+        backend._neighbors = [frozenset(row) for row in neighbors]
+        return backend
+
     def _load_packed(self, bitmap: np.ndarray) -> None:
-        rows = _unpack_bitmap(bitmap, self.n)
-        self._neighbors = [
-            frozenset(np.flatnonzero(rows[i]).tolist()) for i in range(self.n)
-        ]
+        self._neighbors = [frozenset(row) for row in bitmap_neighbors(bitmap)]
 
     def empty(self) -> frozenset[int]:
         return frozenset()
@@ -394,7 +413,10 @@ def build_backend(graph: Graph, name: str) -> Backend:
 
 
 def backend_from_bitmap(
-    name: str, labels: list[Node], bitmap: np.ndarray
+    name: str,
+    labels: list[Node],
+    bitmap: np.ndarray,
+    neighbors: list[list[int]] | None = None,
 ) -> Backend:
     """Construct the backend called ``name`` from a packed adjacency bitmap.
 
@@ -403,10 +425,16 @@ def backend_from_bitmap(
     (row ``i``, bit ``j`` set iff ``i ~ j``).  Used by shared-memory
     workers to materialize per-block backends from the attached CSR
     segment without reconstructing a :class:`~repro.graph.adjacency.Graph`.
+    ``neighbors`` — the bitmap's rows as index lists, when the caller
+    already has them — builds the ``lists`` backend straight from those
+    lists; the other backends read the bitmap.
 
     Raises
     ------
     AlgorithmNotFoundError
         If ``name`` is not a known backend.
     """
-    return _resolve(name).from_packed(labels, bitmap)
+    backend_class = _resolve(name)
+    if neighbors is not None and issubclass(backend_class, SetBackend):
+        return backend_class.from_neighbors(labels, neighbors)
+    return backend_class.from_packed(labels, bitmap)

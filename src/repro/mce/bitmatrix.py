@@ -32,6 +32,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.graph.cores import peel_order
+from repro.graph.csr import bitmap_neighbors
 from repro.mce.backends import Backend, register_backend
 from repro.mce.recursion import (
     max_degree_pivot,
@@ -849,47 +851,25 @@ def enumerate_anchored_packed(
     )
 
 
-def degeneracy_order_packed(bitmap: np.ndarray) -> list[int]:
+def degeneracy_order_packed(
+    bitmap: np.ndarray,
+    neighbors: "list[list[int]] | None" = None,
+    with_degeneracy: bool = False,
+) -> "list[int] | tuple[list[int], int]":
     """Peeling order (min-degree first) of a packed adjacency bitmap.
 
-    Word-parallel analogue of
-    :func:`repro.graph.cores.degeneracy_ordering`: repeatedly remove a
-    minimum-residual-degree node (ties toward the smallest index) and
-    decrement its surviving neighbours.  The maximum degree seen at
-    removal time is the graph's degeneracy, returned by
-    :func:`degeneracy_packed`.
+    A thin caller of :func:`repro.graph.cores.peel_order` — remove a
+    minimum-residual-degree node, ties toward the smallest index — over
+    the bitmap's neighbour lists.  ``neighbors`` passes lists the caller
+    already holds (:func:`repro.graph.csr.bitmap_neighbors` of this
+    bitmap); ``with_degeneracy`` returns ``(order, degeneracy)`` from the
+    same peel, which is how block analysis gets its anchor order and its
+    degeneracy feature from one peel.
     """
-    n = bitmap.shape[0]
-    if n == 0:
-        return []
-    degrees = popcount_rows(bitmap).astype(np.int64)
-    alive = np.ones(n, dtype=bool)
-    order: list[int] = []
-    for _ in range(n):
-        masked = np.where(alive, degrees, np.int64(n + 1))
-        v = int(np.argmin(masked))
-        order.append(v)
-        alive[v] = False
-        neighbors = bits_to_indices(bitmap[v])
-        survivors = neighbors[alive[neighbors]]
-        degrees[survivors] -= 1
-    return order
+    peel = peel_order(bitmap_neighbors(bitmap) if neighbors is None else neighbors)
+    return peel if with_degeneracy else peel[0]
 
 
 def degeneracy_packed(bitmap: np.ndarray) -> int:
     """Degeneracy (maximum core number) of a packed adjacency bitmap."""
-    n = bitmap.shape[0]
-    if n == 0:
-        return 0
-    degrees = popcount_rows(bitmap).astype(np.int64)
-    alive = np.ones(n, dtype=bool)
-    best = 0
-    for _ in range(n):
-        masked = np.where(alive, degrees, np.int64(n + 1))
-        v = int(np.argmin(masked))
-        best = max(best, int(degrees[v]))
-        alive[v] = False
-        neighbors = bits_to_indices(bitmap[v])
-        survivors = neighbors[alive[neighbors]]
-        degrees[survivors] -= 1
-    return best
+    return peel_order(bitmap_neighbors(bitmap))[1]

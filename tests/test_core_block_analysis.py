@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.block_analysis as block_analysis
+import repro.decision.features as features
+import repro.graph.cores as cores
+import repro.mce.bitmatrix as bitmatrix
 from conftest import nx_cliques
-from repro.core.block_analysis import analyze_block, analyze_blocks
-from repro.core.blocks import build_blocks
-from repro.core.feasibility import cut
+from repro.core.block_analysis import analyze_block, analyze_block_csr, analyze_blocks
+from repro.core.blocks import blocks_csr, build_blocks
+from repro.core.feasibility import cut, cut_csr
 from repro.graph.adjacency import Graph
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, social_network
 from repro.mce.registry import Combo
 from repro.mce.verify import is_maximal_clique
@@ -105,3 +110,55 @@ class TestFigure1:
         cliques, _ = analyze_blocks(blocks)
         expected = {c for c in FIGURE1_CLIQUES if c - {"D", "S", "E"}}
         assert set(cliques) == expected
+
+
+class TestOnePeelPerBlock:
+    """Each block is peeled exactly once, on the dict path and the CSR path.
+
+    The peel yields both the degeneracy feature and the kernel anchor
+    order; a second peel per block (the old feature-then-order pair) is
+    the fixed cost this guards against.  Every binding of the shared
+    peel, and the ``Graph`` degeneracy the features fall back to, is
+    counted.
+    """
+
+    @pytest.fixture
+    def peels(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        shared_peel = counted(cores.peel_order)
+        for module in (cores, bitmatrix, block_analysis):
+            monkeypatch.setattr(module, "peel_order", shared_peel)
+        monkeypatch.setattr(
+            features, "graph_degeneracy", counted(features.graph_degeneracy)
+        )
+        return calls
+
+    @pytest.mark.parametrize("combo", [None, Combo("bkpivot", "matrix")])
+    def test_dict_path(self, peels, combo):
+        blocks = blocks_for(social_network(300, seed=4), 12)
+        assert len(blocks) > 5
+        for block in blocks:
+            peels.clear()
+            analyze_block(block, combo=combo)
+            assert peels == ["peel_order"]
+
+    @pytest.mark.parametrize("combo", [None, Combo("bkpivot", "matrix")])
+    def test_csr_path(self, peels, combo):
+        csr = CSRGraph(social_network(300, seed=4))
+        feasible, _hubs = cut_csr(csr, 12)
+        descriptors = list(blocks_csr(csr, feasible, 12))
+        assert len(descriptors) > 5
+        for descriptor in descriptors:
+            peels.clear()
+            analyze_block_csr(
+                descriptor, csr.indptr, csr.indices, csr.labels, combo=combo
+            )
+            assert peels == ["peel_order"]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.adjacency import Graph
 from repro.graph.cores import (
@@ -11,6 +13,7 @@ from repro.graph.cores import (
     degeneracy_ordering,
     k_core,
     peel_iterations,
+    peel_order,
 )
 from repro.graph.generators import (
     complete_graph,
@@ -155,3 +158,45 @@ class TestPeelIterations:
     def test_star_two_rounds(self):
         # Leaves go first, then the hub.
         assert peel_iterations(star_graph(10), 2) == 2
+
+
+def _reference_peel(neighbors: list[list[int]]) -> list[int]:
+    """Quadratic peel: the alive node of least residual degree, least index first."""
+    degrees = [len(row) for row in neighbors]
+    alive = set(range(len(neighbors)))
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (degrees[u], u))
+        alive.remove(v)
+        order.append(v)
+        for u in neighbors[v]:
+            if u in alive:
+                degrees[u] -= 1
+    return order
+
+
+class TestPeelOrder:
+    """The one peel block analysis runs, against a naive reference."""
+
+    @given(
+        n=st.integers(min_value=0, max_value=24),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_and_graph_degeneracy(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = Graph(nodes=range(n), edges=edges)
+        neighbors = [sorted(graph.neighbors(v)) for v in range(n)]
+        order, peeled = peel_order(neighbors)
+        assert order == _reference_peel(neighbors)
+        assert peeled == degeneracy(graph)
+
+    def test_ties_break_toward_smallest_index(self):
+        # A 4-cycle: every degree is 2, so the peel takes 0 first, leaving
+        # 1 and 3 at degree 1 (1 wins), then 2 and 3 at degree 1 (2 wins).
+        neighbors = [[1, 3], [0, 2], [1, 3], [0, 2]]
+        assert peel_order(neighbors) == ([0, 1, 2, 3], 2)
+
+    def test_empty(self):
+        assert peel_order([]) == ([], 0)

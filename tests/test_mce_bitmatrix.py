@@ -30,7 +30,12 @@ from repro.decision.features import BlockFeatures, features_from_bitmap
 from repro.decision.paper_tree import extended_tree, paper_tree, select_combo
 from repro.graph.adjacency import Graph
 from repro.graph.cores import degeneracy
-from repro.graph.csr import BitmapScratch, CSRGraph, extract_block_bitmap
+from repro.graph.csr import (
+    BitmapScratch,
+    CSRGraph,
+    bitmap_neighbors,
+    extract_block_bitmap,
+)
 from repro.graph.generators import (
     barabasi_albert,
     complete_graph,
@@ -38,7 +43,7 @@ from repro.graph.generators import (
     stochastic_block_model,
 )
 from repro.mce.anchored import enumerate_anchored_native
-from repro.mce.backends import backend_from_bitmap, build_backend
+from repro.mce.backends import SetBackend, backend_from_bitmap, build_backend
 from repro.mce.bitmatrix import (
     bits_to_indices,
     degeneracy_order_packed,
@@ -286,6 +291,21 @@ class TestCSRMaterialization:
                 )
             }
             assert cliques == expected, name
+
+    @pytest.mark.parametrize("name,graph", RNG_GRAPHS, ids=[n for n, _ in RNG_GRAPHS])
+    def test_lists_backend_from_neighbors_equals_from_bitmap(self, name, graph):
+        bitmap = build_backend(graph, "bitmatrix")._matrix
+        labels = list(graph.nodes())
+        from_bitmap = backend_from_bitmap("lists", labels, bitmap)
+        from_lists = backend_from_bitmap(
+            "lists", labels, bitmap, bitmap_neighbors(bitmap)
+        )
+        assert isinstance(from_lists, SetBackend)
+        assert from_lists._neighbors == from_bitmap._neighbors
+        assert from_lists._neighbors == build_backend(graph, "lists")._neighbors
+        assert from_lists._labels == from_bitmap._labels
+        assert from_lists._index == from_bitmap._index
+        assert from_lists.n == from_bitmap.n
 
 
 class TestPackedDegeneracy:
