@@ -191,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         default=None,
         help=(
-            "make the run durable: append finished blocks to CRC-checked "
-            "segment files in this directory and track progress in an "
-            "atomically updated manifest (see docs/durability.md)"
+            "make the run durable: append finished blocks to fsynced, "
+            "CRC-checked segment files in this directory, which record the "
+            "run's progress (see docs/durability.md)"
         ),
     )
     enumerate_.add_argument(

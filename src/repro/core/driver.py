@@ -50,7 +50,7 @@ from repro.graph.csr import BitmapScratch, CSRGraph, induced_csr
 from repro.graph.views import induced_subgraph
 from repro.mce.instrumentation import BlockBound
 from repro.mce.registry import Combo
-from repro.runs.manifest import fingerprint_run
+from repro.runs.manifest import fingerprint_run, partition_digest
 from repro.runs.runlog import RunLog
 
 FALLBACK_MODES: tuple[str, ...] = ("exact", "raise")
@@ -160,16 +160,22 @@ def find_max_cliques(
     spill_dir:
         Directory for a *durable* run (see ``docs/durability.md``): as
         blocks finish, their reports are appended to CRC-checked segment
-        files and the completed block ids are recorded in an atomically
-        updated manifest, so a crash loses at most the blocks in flight.
-        Works with every executor, in barrier and pipeline modes.
+        files (flush + fsync per block), so a crash loses at most the
+        blocks in flight.  The segments are the only per-block progress
+        record; the manifest holds the run's fingerprint, segment names,
+        status and (barrier mode) per-level partition digests, and is
+        written when the run opens, once per barrier level, and at the
+        end.  Works with every executor, in barrier and pipeline modes.
     resume:
         Continue a durable run that crashed (or finished) in
         ``spill_dir``: the manifest is validated against the current
-        graph/config fingerprint, every completed block is skipped and
-        its spilled report replayed, and a torn final record left by a
-        crash mid-write is truncated.  The clique output is identical to
-        an uninterrupted run.  Requires ``spill_dir``.
+        graph/config fingerprint, every block with a whole record in the
+        segments is skipped and its spilled report replayed, and a torn
+        final record left by a crash mid-write is truncated.  In barrier
+        mode a level whose partition differs from the recorded one (the
+        dict decomposition depends on ``PYTHONHASHSEED`` for non-int
+        labels) raises ``ResumeMismatchError``.  The clique output is
+        identical to an uninterrupted run.  Requires ``spill_dir``.
 
     Returns
     -------
@@ -360,6 +366,10 @@ def _barrier_enumerate(
             blocks = kept
             bound_records.extend(level_bounds)
         decomposition_seconds = time.perf_counter() - decomposition_start
+        if run_log is not None:
+            run_log.check_partition(
+                level, partition_digest(block.kernel for block in blocks)
+            )
 
         analysis_start = time.perf_counter()
         if executor is None and run_log is None:

@@ -101,9 +101,9 @@ class BlockTiming:
 class SegmentFlush:
     """Measured durability cost of spilling one finished block.
 
-    ``seconds`` covers encoding the record, the ``write``/``fsync`` into
-    the segment file, and the atomic manifest update — the full price of
-    making the block's cliques crash-proof.  ``segment_bytes`` is the
+    ``seconds`` covers encoding the record and the ``write``/``fsync``
+    into the segment file — the full price of making the block's cliques
+    crash-proof.  ``segment_bytes`` is the
     record size on disk (header included).
     """
 

@@ -1,4 +1,4 @@
-"""The run manifest: what a durable run is, and how far it got.
+"""The run manifest: what a durable run is.
 
 One JSON file (``manifest.json``) per spill directory records
 
@@ -7,15 +7,16 @@ One JSON file (``manifest.json``) per spill directory records
   ``min_adjacency``, and the decomposition mode, barrier or pipeline).
   Two runs with equal fingerprints produce identical block ids, which
   is what makes "skip block 3 of level 1" meaningful across a restart;
-* the **completed** block ids per recursion level;
 * the **segment** file names the run has opened (informational — resume
   globs the directory, so a segment orphaned by a crash between file
   creation and manifest save is still recovered);
-* a coarse **status** (``running`` / ``complete``).
+* a coarse **status** (``running`` / ``complete``);
+* in barrier mode, a **partition** digest per level (resume refuses
+  a level whose blocks differ).
 
-Every update is atomic: the new manifest is written to a temp file,
-fsynced, then ``os.replace``\\ d over the old one, so a reader never sees
-a half-written manifest no matter where the process dies.
+Progress lives in the segments alone, so the manifest is written when
+a run opens, once per barrier level and at the end — never per block.
+Every write is atomic: temp file, fsync, ``os.replace``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +66,14 @@ def graph_digest(graph: Graph) -> str:
     return digest.hexdigest()
 
 
+def partition_digest(kernels: Iterable[tuple]) -> str:
+    """SHA-256 of a level's kernels in block-id order (labels by repr)."""
+    digest = hashlib.sha256()
+    for block_id, kernel in enumerate(kernels):
+        digest.update(f"{block_id}:{[repr(node) for node in kernel]}\n".encode())
+    return digest.hexdigest()
+
+
 def fingerprint_run(
     graph: Graph,
     m: int,
@@ -88,41 +98,32 @@ class RunManifest:
     """In-memory form of ``manifest.json``."""
 
     fingerprint: dict[str, object]
-    completed: dict[int, set[int]] = field(default_factory=dict)
     segments: list[str] = field(default_factory=list)
     status: str = "running"
+    partitions: dict[int, str] = field(default_factory=dict)
     version: int = MANIFEST_VERSION
-
-    def mark_completed(self, level: int, block_id: int) -> None:
-        """Record one finished block."""
-        self.completed.setdefault(int(level), set()).add(int(block_id))
-
-    def is_completed(self, level: int, block_id: int) -> bool:
-        return block_id in self.completed.get(level, ())
-
-    def num_completed(self) -> int:
-        return sum(len(ids) for ids in self.completed.values())
 
     def to_json(self) -> dict[str, object]:
         return {
             "version": self.version,
             "status": self.status,
             "fingerprint": self.fingerprint,
-            "completed": {
-                str(level): sorted(ids)
-                for level, ids in sorted(self.completed.items())
-            },
             "segments": list(self.segments),
+            "partitions": {
+                str(level): digest
+                for level, digest in sorted(self.partitions.items())
+            },
         }
 
     @classmethod
     def from_json(cls, payload: dict[str, object]) -> "RunManifest":
+        # Older manifests also carry a ``completed`` map; it is ignored.
         try:
             return cls(
                 fingerprint=dict(payload["fingerprint"]),  # type: ignore[arg-type]
-                completed={
-                    int(level): set(ids)
-                    for level, ids in payload.get("completed", {}).items()  # type: ignore[union-attr]
+                partitions={
+                    int(level): str(digest)
+                    for level, digest in payload.get("partitions", {}).items()  # type: ignore[union-attr]
                 },
                 segments=list(payload.get("segments", [])),  # type: ignore[arg-type]
                 status=str(payload.get("status", "running")),

@@ -9,17 +9,16 @@ blocks.  The contract every path follows:
   :meth:`RunLog.replay_report` instead of analysing;
 * after a block (or a split block's merged fragments — exactly once per
   block either way) finishes, call :meth:`RunLog.record`, which appends
-  the report to the segment file (flush + fsync) and *then* marks the
-  block completed in the atomically-rewritten manifest.
+  the report to the segment file (flush + fsync).
 
-That ordering is the whole durability argument: a block is marked
-completed only after its cliques are on disk, so every crash leaves the
+That append is the whole durability argument: a block is completed
+exactly when its record is whole on disk, so every crash leaves the
 directory in one of three states — record absent (block re-analysed on
 resume), record torn at the tail (truncated, block re-analysed), or
-record whole (block skipped and replayed).  Resume derives the
-completed set from the *segments*, not the manifest, so even a manifest
-lagging one update behind its segment can never cause a lost or
-duplicated block.
+record whole (block skipped and replayed).  The segments are the only
+per-block progress record; the manifest holds what the run *is*
+(fingerprint, segment names, status, barrier partition digests) and is
+written when the run opens, once per barrier level, and at the end.
 """
 
 from __future__ import annotations
@@ -89,13 +88,6 @@ class RunLog:
             self.manifest = load_manifest(self.directory)
             self.manifest.validate_fingerprint(fingerprint)
             self._recover_segments()
-            # The segments are the source of truth; rebuild the
-            # completed map from what was actually recovered so a
-            # truncated record can never leave a phantom "completed"
-            # entry behind.
-            self.manifest.completed = {}
-            for level, block_id in self._recovered:
-                self.manifest.mark_completed(level, block_id)
             self.manifest.status = "running"
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -154,32 +146,38 @@ class RunLog:
         """The stored report of a completed block (byte-identical cliques)."""
         return self._recovered[(level, block_id)]
 
-    def completed_blocks(self, level: int) -> set[int]:
-        """Ids of the given level's blocks recovered from prior segments."""
-        return {
-            block_id
-            for (record_level, block_id) in self._recovered
-            if record_level == level
-        }
-
     @property
     def num_recovered(self) -> int:
         return len(self._recovered)
 
     # -- record side -------------------------------------------------------
-    def record(self, level: int, block_id: int, report: BlockReport) -> SegmentFlush:
-        """Durably persist one finished block, then mark it completed.
+    def check_partition(self, level: int, digest: str) -> None:
+        """Store one barrier level's partition digest (one manifest save),
+        or raise ``ResumeMismatchError`` if a stored one differs."""
+        stored = self.manifest.partitions.get(level)
+        if stored is None:
+            self.manifest.partitions[level] = digest
+            self.manifest.save(self.directory)
+        elif stored != digest:
+            raise ResumeMismatchError(
+                f"resume partition mismatch at level {level}: the blocks "
+                "differ from those the spill directory recorded.  Barrier "
+                "mode's dict decomposition depends on PYTHONHASHSEED for "
+                "non-int node labels; resume with the original hash seed, "
+                "or use pipeline mode, whose CSR decomposition does not"
+            )
 
-        Segment append (flush + fsync) strictly precedes the manifest
-        update; the fault hooks bracket both so the crash tests can kill
+    def record(self, level: int, block_id: int, report: BlockReport) -> SegmentFlush:
+        """Durably persist one finished block.
+
+        The segment append (flush + fsync) is the block's only progress
+        record; the fault hooks bracket it so the crash tests can kill
         the parent on either side of the durability boundary.
         """
         start = time.perf_counter()
         maybe_inject_spill_fault("pre", level, block_id)
         payload = encode_block_record(level, block_id, report)
         nbytes = self._segment.append(payload, fault_key=(level, block_id))
-        self.manifest.mark_completed(level, block_id)
-        self.manifest.save(self.directory)
         maybe_inject_spill_fault("post", level, block_id)
         flush = SegmentFlush(
             level=level,
@@ -203,9 +201,3 @@ class RunLog:
             return
         self._closed = True
         self._segment.close()
-
-    def __enter__(self) -> "RunLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

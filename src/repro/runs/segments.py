@@ -46,7 +46,7 @@ For the fault-injection tests the writer honours the same
 targets: ``kill:spill-pre:<level>.<block>`` fires before a record is
 written, ``kill:spill-mid:<level>.<block>`` after only half the payload
 is on disk (a genuine torn record), ``kill:spill-post:<level>.<block>``
-after the manifest update.  Unlike the worker-side targets these fire
+after the segment append.  Unlike the worker-side targets these fire
 in the parent process — that is the point: they simulate the *parent*
 dying around the flush boundary.
 """

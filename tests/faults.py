@@ -6,7 +6,7 @@ The crash tests all follow one shape:
    process with ``REPRO_FAULT_INJECT`` aimed at a parameterized kill
    point — a worker SIGKILLed mid-block, or the parent SIGKILLed
    around the spill boundary (before the flush, halfway through the
-   segment write, or after the manifest update);
+   segment write, or after the segment append);
 2. observe the child die (the whole point);
 3. resume the run in-process with ``resume=True`` and assert the final
    cliques are identical to an uninterrupted golden run — and that no
@@ -21,8 +21,8 @@ at risk of injecting faults into itself.
 
 When ``REPRO_FAULT_ARTIFACT_DIR`` is set (the CI smoke job sets it), a
 failed comparison copies the run manifest and a directory listing there
-before re-raising, so the uploaded artifact shows what the resumed run
-thought was completed.
+before re-raising, so the uploaded artifact shows the run's fingerprint,
+partition digests and segment sizes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from repro.distributed.executor import SharedMemoryExecutor
 from repro.errors import ReproError
 from repro.graph.adjacency import Graph
 from repro.graph.csr import SHARED_SEGMENT_PREFIX
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, social_network
+from repro.graph.views import relabel
 from repro.runs.segments import FAULT_INJECT_ENV
 
 ARTIFACT_ENV = "REPRO_FAULT_ARTIFACT_DIR"
@@ -85,7 +86,7 @@ class KillPoint:
 KILL_POINTS: tuple[KillPoint, ...] = (
     KillPoint("pre-flush", "kill:spill-pre:0.5", parent=True),
     KillPoint("mid-segment-write", "kill:spill-mid:0.5", parent=True),
-    KillPoint("post-manifest-update", "kill:spill-post:0.5", parent=True),
+    KillPoint("post-segment-append", "kill:spill-post:0.5", parent=True),
     KillPoint("deep-level-pre-flush", "kill:spill-pre:1.3", parent=True),
     KillPoint("worker-killed", "kill:5", parent=False),
 )
@@ -106,6 +107,16 @@ def crash_graph() -> Graph:
 
 
 CRASH_M = 12
+
+
+def string_graph() -> Graph:
+    """A string-labelled graph whose barrier (dict) decomposition differs
+    between ``PYTHONHASHSEED=0`` and ``=1`` already at level 0."""
+    graph = social_network(300, seed=5)
+    return relabel(graph, {node: f"n{node}" for node in graph.nodes()})
+
+
+STRING_M = 20
 
 
 def golden_cliques(graph: Graph, m: int = CRASH_M) -> Canonical:

@@ -3,16 +3,32 @@
 These tests exercise the in-process side of crash-resume: partial runs
 produced with the ``raise:`` flavour of the fault hook (the parent
 survives, unlike the ``kill:`` crash matrix), resume validation against
-the manifest fingerprint, damage handling (torn tails truncated,
-mid-file corruption refused), and the error context a durable run
-attaches to executor failures.
+the manifest fingerprint and the barrier partition digests (across
+processes with different hash seeds), how often the manifest is
+written, damage handling (torn tails truncated, mid-file corruption
+refused), and the error context a durable run attaches to executor
+failures.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from faults import CRASH_M, build_executor, crash_graph, golden_cliques
+import repro
+from faults import (
+    CRASH_M,
+    STRING_M,
+    build_executor,
+    crash_graph,
+    golden_cliques,
+    string_graph,
+)
 from differential import canonical_cliques
 from repro.core.driver import find_max_cliques
 from repro.distributed.executor import SharedMemoryExecutor
@@ -22,7 +38,7 @@ from repro.errors import (
     ResumeMismatchError,
 )
 from repro.graph.generators import erdos_renyi
-from repro.runs.manifest import load_manifest
+from repro.runs.manifest import RunManifest, load_manifest, manifest_path
 from repro.runs.segments import FAULT_INJECT_ENV, SEGMENT_MAGIC, _HEADER
 
 
@@ -237,3 +253,142 @@ class TestExecutorErrorContext:
         result = durable(graph, tmp_path, executor=executor)
         assert canonical_cliques(result.cliques) == golden
         assert load_manifest(tmp_path).status == "complete"
+
+
+class TestManifestWrites:
+    """The segments are the per-block record; the manifest is not."""
+
+    def count_saves(self, monkeypatch):
+        calls = []
+        save = RunManifest.save
+
+        def counting_save(manifest, directory):
+            calls.append(directory)
+            save(manifest, directory)
+
+        monkeypatch.setattr(RunManifest, "save", counting_save)
+        return calls
+
+    def test_pipeline_run_saves_at_open_and_finalize_only(
+        self, graph, tmp_path, monkeypatch
+    ):
+        calls = self.count_saves(monkeypatch)
+        result = durable(
+            graph, tmp_path, executor=build_executor("shared"), pipeline=True
+        )
+        assert result.run_info["blocks_recorded"] >= 50
+        assert len(calls) == 2
+
+    def test_barrier_run_saves_once_per_level(
+        self, graph, tmp_path, monkeypatch
+    ):
+        calls = self.count_saves(monkeypatch)
+        result = durable(graph, tmp_path)
+        assert result.run_info["blocks_recorded"] >= 50
+        assert not result.fallback_used
+        assert len(calls) == 2 + len(result.levels)
+        assert sorted(load_manifest(tmp_path).partitions) == list(
+            range(len(result.levels))
+        )
+
+    def test_older_manifest_with_completed_map_resumes(
+        self, graph, golden, tmp_path, monkeypatch
+    ):
+        # Earlier versions rewrote the manifest after every block with a
+        # ``completed`` map and stored no partition digests.
+        partial_run(graph, tmp_path, monkeypatch)
+        manifest = load_manifest(tmp_path)
+        manifest_path(tmp_path).write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "status": "running",
+                    "fingerprint": manifest.fingerprint,
+                    "completed": {"0": [0, 1, 2, 3, 4]},
+                    "segments": manifest.segments,
+                },
+                indent=2,
+                sort_keys=True,
+            )
+        )
+        result = durable(graph, tmp_path, resume=True)
+        assert canonical_cliques(result.cliques) == golden
+        assert result.run_info["blocks_replayed"] == 5
+        assert load_manifest(tmp_path).status == "complete"
+
+
+# Each run is a fresh interpreter, so the hash seed really differs
+# between the crash and the resume.
+_CHILD = """
+import json, sys
+from faults import STRING_M, string_graph
+from repro.core.driver import find_max_cliques
+from repro.distributed.executor import SharedMemoryExecutor
+
+spill_dir, resume, pipeline = sys.argv[1], sys.argv[2] == "1", sys.argv[3] == "1"
+try:
+    result = find_max_cliques(
+        string_graph(), STRING_M, spill_dir=spill_dir, resume=resume,
+        pipeline=pipeline,
+        executor=SharedMemoryExecutor(max_workers=2) if pipeline else None,
+    )
+except Exception as exc:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+else:
+    print(json.dumps(sorted(sorted(map(repr, c)) for c in result.cliques)))
+"""
+
+
+def run_child(spill_dir, hash_seed, resume, pipeline=False, fault=None):
+    """One durable run in a fresh interpreter; returns its JSON reply."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    )
+    env.pop(FAULT_INJECT_ENV, None)
+    if fault is not None:
+        env[FAULT_INJECT_ENV] = fault
+    args = [str(spill_dir), "1" if resume else "0", "1" if pipeline else "0"]
+    completed = subprocess.run(
+        [sys.executable, "-c", _CHILD, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    return json.loads(completed.stdout)
+
+
+class TestHashSeedGuard:
+    @pytest.fixture(scope="class")
+    def string_golden(self):
+        return canonical_cliques(find_max_cliques(string_graph(), STRING_M).cliques)
+
+    def crash(self, spill_dir, pipeline=False):
+        reply = run_child(
+            spill_dir, 0, False, pipeline, fault="raise:spill-pre:0.5"
+        )
+        assert reply["error"] == "RuntimeError"
+
+    def test_barrier_resume_under_other_hash_seed_refused(
+        self, string_golden, tmp_path
+    ):
+        self.crash(tmp_path)
+        refused = run_child(tmp_path, 1, resume=True)
+        assert refused["error"] == "ResumeMismatchError"
+        assert "level 0" in refused["message"]
+        assert "PYTHONHASHSEED" in refused["message"]
+        assert "pipeline mode" in refused["message"]
+        # The refused resume recorded nothing; the original seed still
+        # resumes the same directory to the golden set.
+        resumed = run_child(tmp_path, 0, resume=True)
+        assert tuple(map(tuple, resumed)) == string_golden
+
+    def test_pipeline_resume_is_hash_seed_independent(
+        self, string_golden, tmp_path
+    ):
+        self.crash(tmp_path, pipeline=True)
+        resumed = run_child(tmp_path, 1, resume=True, pipeline=True)
+        assert tuple(map(tuple, resumed)) == string_golden

@@ -275,9 +275,9 @@ fingerprints = st.fixed_dictionaries(
         "combo": st.none() | st.text(max_size=12),
     }
 )
-completed_maps = st.dictionaries(
+partition_maps = st.dictionaries(
     st.integers(min_value=0, max_value=6),
-    st.sets(st.integers(min_value=0, max_value=200), max_size=12),
+    st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
     max_size=4,
 )
 
@@ -286,42 +286,42 @@ class TestManifest:
     @settings(max_examples=60, deadline=None)
     @given(
         fingerprints,
-        completed_maps,
         st.lists(st.text(min_size=1, max_size=20), max_size=4),
         st.sampled_from(["running", "complete"]),
+        partition_maps,
     )
     def test_json_roundtrip_through_real_json(
-        self, fingerprint, completed, segments, status
+        self, fingerprint, segments, status, partitions
     ):
         manifest = RunManifest(
             fingerprint=fingerprint,
-            completed=completed,
             segments=segments,
             status=status,
+            partitions=partitions,
         )
         wire = json.loads(json.dumps(manifest.to_json()))
         back = RunManifest.from_json(wire)
         assert back.fingerprint == fingerprint
-        assert back.completed == {k: v for k, v in completed.items()}
         assert back.segments == segments
         assert back.status == status
+        assert back.partitions == partitions
         assert back.to_json() == manifest.to_json()
 
-    @settings(max_examples=40, deadline=None)
-    @given(fingerprints, completed_maps)
-    def test_completion_queries_match_the_map(self, fingerprint, completed):
-        manifest = RunManifest(fingerprint=fingerprint, completed=completed)
-        for level, ids in completed.items():
-            for block_id in ids:
-                assert manifest.is_completed(level, block_id)
-        assert not manifest.is_completed(99, 0)
-        assert manifest.num_completed() == sum(map(len, completed.values()))
+    def test_completed_map_of_older_manifests_is_ignored(self):
+        wire = {
+            "fingerprint": {"m": 12},
+            "completed": {"0": [1, 2], "1": [0]},
+            "segments": ["segment-0000.seg"],
+        }
+        back = RunManifest.from_json(wire)
+        assert back.segments == ["segment-0000.seg"]
+        assert "completed" not in back.to_json()
 
     def test_save_load_roundtrip(self, tmp_path):
         manifest = RunManifest(
             fingerprint={"graph_sha256": "ab", "m": 12},
-            completed={0: {1, 2}, 1: {0}},
             segments=["segment-0000.seg"],
+            partitions={0: "ab" * 32},
         )
         manifest.save(tmp_path)
         back = load_manifest(tmp_path)
@@ -334,7 +334,7 @@ class TestManifest:
             RunManifest.from_json({"status": "running"})  # no fingerprint
         with pytest.raises(ResumeMismatchError):
             RunManifest.from_json(
-                {"fingerprint": {}, "completed": {"zero": [1]}}
+                {"fingerprint": {}, "partitions": {"zero": "ab"}}
             )
 
     def test_truncated_manifest_file_raises_typed_error(self, tmp_path):
