@@ -533,14 +533,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     f"in {record.publish_seconds:.3f}s"
                 )
             print(
-                f"pipeline totals: {trace.total_decompose_seconds:.3f}s decomposition, "
+                f"pipeline totals: {len(trace.analyzed_blocks)} blocks in "
+                f"{trace.pool_tasks} pool tasks, "
+                f"{trace.total_decompose_seconds:.3f}s decomposition, "
                 f"{trace.total_block_seconds:.3f}s serial-equivalent analysis, "
                 f"peak worker RSS {trace.max_peak_rss_kb} kB"
             )
         else:
             print(
-                f"shared-memory dispatch (last level): {trace.total_dispatch_bytes} "
-                f"descriptor bytes, {trace.publish_bytes} published bytes, "
+                f"shared-memory dispatch (last level): "
+                f"{len(trace.analyzed_blocks)} blocks in {trace.pool_tasks} "
+                f"pool tasks, {trace.total_dispatch_bytes} descriptor bytes, "
+                f"{trace.publish_bytes} published bytes, "
                 f"peak worker RSS {trace.max_peak_rss_kb} kB"
             )
         if args.split:

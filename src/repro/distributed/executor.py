@@ -15,7 +15,8 @@ embarrassingly parallel map.  Four executors share one interface
   :class:`~repro.core.block_analysis.BlockDescriptor` of node-id arrays
   instead of a pickled subgraph.  Blocks are dispatched in
   decreasing-estimated-cost order (LPT) through the pool's shared queue
-  so the expensive blocks start first and workers self-balance;
+  so the expensive blocks start first and workers self-balance; the
+  cheap tail travels in chunks of growing size, one pool task each;
 * :class:`SimulatedExecutor` — serial execution plus a replayed cluster
   schedule, reporting what the wall-clock *would be* on a cluster
   (the local stand-in for the paper's OpenMPI deployment).
@@ -79,6 +80,7 @@ from repro.decision.tree import DecisionTree
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.scheduler import (
     BatchAccumulator,
+    ChunkAccumulator,
     StealDeque,
     StreamingLPTBuffer,
     lpt_order,
@@ -393,41 +395,52 @@ def _worker_floor() -> int:
     return int(_WORKER_STATE.get("floor", 0) or 0)
 
 
-def _shm_analyze(descriptor: BlockDescriptor) -> tuple[int, BlockReport]:
-    """Analyse one block straight from the attached CSR views.
+def _shm_analyze(
+    descriptors: "tuple[BlockDescriptor, ...]",
+) -> "list[tuple[int, BlockReport]]":
+    """Analyse one chunk of blocks straight from the attached CSR views.
 
-    The block's backend is materialized from a packed bitmap extracted
+    Each block's backend is materialized from a packed bitmap extracted
     directly out of the shared CSR rows (``analyze_block_csr``) — the
     worker never rebuilds a ``Graph`` or a dict-of-sets adjacency, which
     removes a silent O(edges) reconstruction per block.  The per-worker
     :class:`BitmapScratch` reuses extraction buffers across same-sized
     blocks.
     """
-    shared: SharedCSR = _WORKER_STATE["shared"]  # type: ignore[assignment]
-    try:
-        _maybe_inject_fault(descriptor.block_id)
-        report = analyze_block_csr(
-            descriptor,
-            shared.indptr,
-            shared.indices,
-            shared.labels,
-            tree=_WORKER_STATE["tree"],  # type: ignore[arg-type]
-            combo=_WORKER_STATE["combo"],  # type: ignore[arg-type]
-            scratch=_WORKER_STATE["scratch"],  # type: ignore[arg-type]
-            min_clique_size=_worker_floor(),
-        )
-    except Exception as exc:
-        raise ExecutorError(
-            f"block {descriptor.block_id} failed in worker {os.getpid()}: "
-            f"{type(exc).__name__}: {exc}",
-            block_id=descriptor.block_id,
-        ) from exc
-    report.extra["dispatch_bytes"] = float(descriptor.nbytes())
-    report.extra["peak_rss_kb"] = float(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    )
-    report.extra["worker_pid"] = float(os.getpid())
-    return descriptor.block_id, report
+    return _analyze_chunk(_WORKER_STATE["shared"], descriptors)  # type: ignore[arg-type]
+
+
+def _analyze_chunk(
+    shared: SharedCSR, descriptors: "tuple[BlockDescriptor, ...]"
+) -> "list[tuple[int, BlockReport]]":
+    """One ``(block_id, report)`` per descriptor, in chunk order.
+
+    A chunk is only a transport unit: every block keeps its own fault
+    hook, analysis, report stamp and ``ExecutorError(block_id=...)``.
+    """
+    pairs = []
+    for descriptor in descriptors:
+        try:
+            _maybe_inject_fault(descriptor.block_id)
+            report = analyze_block_csr(
+                descriptor,
+                shared.indptr,
+                shared.indices,
+                shared.labels,
+                tree=_WORKER_STATE["tree"],  # type: ignore[arg-type]
+                combo=_WORKER_STATE["combo"],  # type: ignore[arg-type]
+                scratch=_WORKER_STATE["scratch"],  # type: ignore[arg-type]
+                min_clique_size=_worker_floor(),
+            )
+        except Exception as exc:
+            raise ExecutorError(
+                f"block {descriptor.block_id} failed in worker {os.getpid()}: "
+                f"{type(exc).__name__}: {exc}",
+                block_id=descriptor.block_id,
+            ) from exc
+        _stamp_report(report, descriptor.nbytes())
+        pairs.append((descriptor.block_id, report))
+    return pairs
 
 
 def _stamp_report(report: BlockReport, dispatch_bytes: int) -> None:
@@ -601,14 +614,19 @@ class SharedMemoryExecutor:
 
     ``map_blocks`` publishes the level graph once (shared memory),
     derives one :class:`BlockDescriptor` per block, and submits the
-    descriptors in decreasing estimated-cost order, one task each, so
-    idle workers always pull the largest remaining block (dynamic LPT).
+    descriptors in decreasing estimated-cost order, so idle workers
+    always pull the largest remaining work (dynamic LPT).  A pool task
+    carries a chunk of descriptors: the first ``8 × workers - 1`` blocks
+    go out alone, later chunks grow with the number of blocks dispatched
+    (:class:`~repro.distributed.scheduler.ChunkAccumulator`), so the
+    per-task hand-off is paid once per chunk, not once per block.
     Reports stream back as they complete; per-block wall-clock, worker
     peak RSS and dispatched bytes are collected on :attr:`last_trace`.
 
-    ``retry_failed`` (default on) re-runs a block serially in the parent
-    when its worker dies mid-batch — block analyses are pure functions,
-    so plain re-execution is exactly correct — and raises
+    ``retry_failed`` (default on) re-runs every block of a lost chunk
+    serially in the parent when its worker dies mid-batch — block
+    analyses are pure functions, so plain re-execution is exactly
+    correct — and raises
     :class:`ExecutorError` only if the retry fails too.  The shared
     segments are always unlinked, including on the failure paths.
 
@@ -767,36 +785,56 @@ class SharedMemoryExecutor:
         run_log: RunLog | None,
         level: int,
     ) -> None:
-        """The original whole-block dispatch loop (``split=False``)."""
-        costs = {i: descriptors[i].estimated_cost for i in pending_ids}
+        """The whole-block dispatch loop (``split=False``).
+
+        Blocks leave in LPT order, grouped into chunks of growing size
+        (:class:`ChunkAccumulator`): one pool task per chunk.  When a
+        worker dies, every block of each lost chunk is retried in the
+        parent, one by one.
+        """
         order = [
             pending_ids[rank]
-            for rank in lpt_order([costs[i] for i in pending_ids])
+            for rank in lpt_order(
+                [descriptors[i].estimated_cost for i in pending_ids]
+            )
         ]
+        chunker = ChunkAccumulator(self.max_workers or os.cpu_count() or 1)
+        # Closed chunks, then the partial tail; None marks "no chunk yet".
+        chunks = [c for c in (*map(chunker.push, order), chunker.drain()) if c]
         with ProcessPoolExecutor(
             max_workers=self.max_workers,
             initializer=_shm_worker_init,
             initargs=(shared.handle, tree, combo, None, self.min_clique_size),
         ) as pool:
-            pending = {
-                pool.submit(_shm_analyze, descriptors[i]): i for i in order
-            }
+            pending = {}
+            for chunk in chunks:
+                payload = tuple(descriptors[i] for i in chunk)
+                pending[pool.submit(_shm_analyze, payload)] = chunk
+                trace.pool_tasks += 1
             # One waiter over every future, not one wait() per completion.
             for future in as_completed(list(pending)):
-                block_id = pending.pop(future)
+                chunk = pending.pop(future)
                 try:
-                    _, report = future.result()
+                    pairs = future.result()
                 except BrokenProcessPool:
-                    report = self._retry(
-                        blocks[block_id], block_id, tree, combo, run_log
+                    # Lazy, so each retried block is recorded before the
+                    # next one runs.
+                    pairs = (
+                        (block_id, self._retry(
+                            blocks[block_id], block_id, tree, combo, run_log
+                        ))
+                        for block_id in chunk
                     )
                 except ExecutorError as exc:
                     exc.segment_path = _segment_path_of(run_log)
                     raise
-                if run_log is not None:
-                    trace.record_flush(run_log.record(level, block_id, report))
-                results[block_id] = report
-                trace.record(_timing_of(block_id, report))
+                for block_id, report in pairs:
+                    if run_log is not None:
+                        trace.record_flush(
+                            run_log.record(level, block_id, report)
+                        )
+                    results[block_id] = report
+                    trace.record(_timing_of(block_id, report))
 
     def _effective_cutoff(self, pending: "list[BlockDescriptor]") -> int:
         """The batch size cutoff: explicit, or adapted to this batch."""
@@ -889,8 +927,12 @@ class SharedMemoryExecutor:
             futures: dict[object, tuple] = {}
             for rank in lpt_order(costs):
                 kind, payload = units[rank]
-                fn = _shm_analyze_batch if kind == "bucket" else _shm_analyze
-                futures[pool.submit(fn, payload)] = units[rank]
+                if kind == "bucket":
+                    future = pool.submit(_shm_analyze_batch, payload)
+                else:
+                    future = pool.submit(_shm_analyze, (payload,))
+                futures[future] = units[rank]
+                trace.pool_tasks += 1
             for future in as_completed(list(futures)):
                 item = futures.pop(future)
                 try:
@@ -905,7 +947,7 @@ class SharedMemoryExecutor:
                     pairs, stats = outcome
                     finish_bucket(item[1], pairs, stats)
                 else:
-                    block_id, report = outcome
+                    [(block_id, report)] = outcome
                     finish_block(block_id, report)
 
     def _analyze_bucket_in_parent(
@@ -1148,6 +1190,7 @@ class SharedMemoryExecutor:
                     run_in_parent(item, retried=True)
                     continue
                 futures[future] = item
+                trace.pool_tasks += 1
 
         with ProcessPoolExecutor(
             max_workers=self.max_workers,
@@ -1328,30 +1371,10 @@ def _pipeline_attach(handle: SharedCSRHandle) -> SharedCSR:
 
 
 def _pipeline_analyze(
-    handle: SharedCSRHandle, descriptor: BlockDescriptor
-) -> tuple[int, BlockReport]:
-    """Analyse one streamed block against its level's shared snapshot."""
-    shared = _pipeline_attach(handle)
-    try:
-        _maybe_inject_fault(descriptor.block_id)
-        report = analyze_block_csr(
-            descriptor,
-            shared.indptr,
-            shared.indices,
-            shared.labels,
-            tree=_WORKER_STATE["tree"],  # type: ignore[arg-type]
-            combo=_WORKER_STATE["combo"],  # type: ignore[arg-type]
-            scratch=_WORKER_STATE["scratch"],  # type: ignore[arg-type]
-            min_clique_size=_worker_floor(),
-        )
-    except Exception as exc:
-        raise ExecutorError(
-            f"block {descriptor.block_id} failed in worker {os.getpid()}: "
-            f"{type(exc).__name__}: {exc}",
-            block_id=descriptor.block_id,
-        ) from exc
-    _stamp_report(report, descriptor.nbytes())
-    return descriptor.block_id, report
+    handle: SharedCSRHandle, descriptors: "tuple[BlockDescriptor, ...]"
+) -> "list[tuple[int, BlockReport]]":
+    """Analyse one chunk of streamed blocks against their level's snapshot."""
+    return _analyze_chunk(_pipeline_attach(handle), descriptors)
 
 
 def _pipeline_analyze_split(
@@ -1460,14 +1483,17 @@ class PipelineSession:
     every in-flight block and returns the reports grouped by level.
     Workers start consuming level-0 blocks while later levels are still
     being decomposed; a :class:`~repro.distributed.scheduler.StreamingLPTBuffer`
-    gives the dispatch order a bounded-lookahead LPT shape.
+    gives the dispatch order a bounded-lookahead LPT shape, and the
+    released blocks are grouped into pool tasks exactly as
+    ``map_blocks`` groups them (a partial chunk is flushed at
+    :meth:`end_level` and :meth:`finish`).
 
     Lifetime rules: every published segment stays mapped in the parent
     (retries read it) and alive for attached workers until
     :meth:`close`, which shuts the pool down *before* unlinking — call
     it from a ``finally`` block, as the pipeline driver does.  When a
-    worker dies mid-run the affected blocks are re-analysed in the
-    parent from the still-mapped segments (pure function, so plain
+    worker dies mid-run every block of the affected chunks is re-analysed
+    in the parent from the still-mapped segments (pure function, so plain
     re-execution is exactly correct), matching ``map_blocks`` semantics.
     """
 
@@ -1521,7 +1547,12 @@ class PipelineSession:
         )
         self._published: dict[int, SharedCSR] = {}
         self._publish_stats: dict[int, tuple[float, int]] = {}
-        # future -> (level, descriptor, subtask-or-None, splitter_pid)
+        # Non-split blocks leave in chunks of growing size, one level at
+        # a time.
+        self._chunker = ChunkAccumulator(workers)
+        self._chunk_level: int | None = None
+        # future -> (level, descriptor | chunk | bucket,
+        #            subtask | "chunk" | "bucket" | None, splitter_pid)
         self._futures: dict[object, tuple] = {}
         self._results: dict[tuple[int, int], BlockReport] = {}
         self._split_states: dict[tuple[int, int], _SplitState] = {}
@@ -1592,6 +1623,7 @@ class PipelineSession:
             self._flush_buckets(self._batch_level)
         for released in self._buffer.drain():
             self._dispatch(*released)  # type: ignore[misc]
+        self._flush_chunk()
         publish_seconds, publish_bytes = self._publish_stats.get(level, (0.0, 0))
         self.trace.record_level(
             LevelDecomposition(
@@ -1619,6 +1651,7 @@ class PipelineSession:
             self._flush_buckets(self._batch_level)
         for released in self._buffer.drain():
             self._dispatch(*released)  # type: ignore[misc]
+        self._flush_chunk()
         # as_completed over a snapshot installs one waiter per harvest
         # instead of one wait() over every outstanding future per
         # completion; the outer loop picks up subtasks that splits
@@ -1631,7 +1664,9 @@ class PipelineSession:
                 try:
                     outcome = future.result()
                 except BrokenProcessPool:
-                    if subtask == "bucket":
+                    if subtask == "chunk":
+                        self._parent_retry_chunk(level, descriptor)
+                    elif subtask == "bucket":
                         pairs, stats = self._parent_retry_bucket(
                             level, descriptor
                         )
@@ -1649,7 +1684,10 @@ class PipelineSession:
                 except ExecutorError as exc:
                     exc.segment_path = _segment_path_of(self._run_log)
                     raise
-                if subtask == "bucket":
+                if subtask == "chunk":
+                    for member, (_, report) in zip(descriptor, outcome):
+                        self._record(level, member, report)
+                elif subtask == "bucket":
                     pairs, stats = outcome
                     self._record_bucket(level, descriptor, pairs, stats)
                 elif subtask is not None:
@@ -1658,16 +1696,10 @@ class PipelineSession:
                         level, descriptor, subtask, report,
                         splitter_pid, retried=False,
                     )
-                elif self._split:
-                    if outcome[0] == "split":
-                        self._handle_split(
-                            level, descriptor, outcome[1], outcome[2]
-                        )
-                    else:
-                        self._record(level, descriptor, outcome[2])
+                elif outcome[0] == "split":
+                    self._handle_split(level, descriptor, outcome[1], outcome[2])
                 else:
-                    _, report = outcome
-                    self._record(level, descriptor, report)
+                    self._record(level, descriptor, outcome[2])
         incomplete = [
             key
             for key, state in self._split_states.items()
@@ -1728,17 +1760,46 @@ class PipelineSession:
                 report = self._parent_retry(level, descriptor)
                 self._record(level, descriptor, report)
                 return
+            self.trace.pool_tasks += 1
             self._futures[future] = (level, descriptor, None, 0)
             return
+        # A chunk runs against one published snapshot, so it must never
+        # mix levels.
+        if self._chunk_level is not None and self._chunk_level != level:
+            self._flush_chunk()
+        self._chunk_level = level
+        chunk = self._chunker.push(descriptor)
+        if chunk is not None:
+            self._dispatch_chunk(level, tuple(chunk))
+
+    def _flush_chunk(self) -> None:
+        """Dispatch the partial chunk and start counting a new level."""
+        chunk = self._chunker.drain()
+        if chunk:
+            self._dispatch_chunk(self._chunk_level, tuple(chunk))  # type: ignore[arg-type]
+        self._chunk_level = None
+
+    def _dispatch_chunk(
+        self, level: int, chunk: "tuple[BlockDescriptor, ...]"
+    ) -> None:
         try:
-            future = self._pool.submit(_pipeline_analyze, handle, descriptor)
+            future = self._pool.submit(
+                _pipeline_analyze, self._published[level].handle, chunk
+            )
         except BrokenProcessPool:
             # The pool died earlier in the run; analyse in the parent so
             # the stream keeps flowing and no block is lost.
-            report = self._parent_retry(level, descriptor)
-            self._record(level, descriptor, report)
+            self._parent_retry_chunk(level, chunk)
             return
-        self._futures[future] = (level, descriptor, None, 0)
+        self.trace.pool_tasks += 1
+        self._futures[future] = (level, chunk, "chunk", 0)
+
+    def _parent_retry_chunk(
+        self, level: int, chunk: "tuple[BlockDescriptor, ...]"
+    ) -> None:
+        """Re-run every block of a lost chunk in the parent, one by one."""
+        for descriptor in chunk:
+            self._record(level, descriptor, self._parent_retry(level, descriptor))
 
     def _flush_buckets(self, level: int) -> None:
         """Dispatch every partially filled shape group of ``level``."""
@@ -1760,6 +1821,7 @@ class PipelineSession:
             pairs, stats = self._parent_retry_bucket(level, bucket)
             self._record_bucket(level, bucket, pairs, stats)
             return
+        self.trace.pool_tasks += 1
         # The "bucket" sentinel in the subtask slot routes the future's
         # outcome to _record_bucket in finish().
         self._futures[future] = (level, bucket, "bucket", 0)
@@ -1886,6 +1948,7 @@ class PipelineSession:
                     splitter_pid, retried=True,
                 )
                 continue
+            self.trace.pool_tasks += 1
             self._futures[future] = (level, descriptor, subtask, splitter_pid)
         if state.complete():
             self._record(level, descriptor, state.merge())

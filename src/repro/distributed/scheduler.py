@@ -296,6 +296,42 @@ class BatchAccumulator:
         return sum(len(group) for group in self._pending.values())
 
 
+class ChunkAccumulator:
+    """Group one level's dispatch stream into pool tasks of growing size.
+
+    Items arrive in dispatch order (LPT, or the streaming buffer's
+    release order).  The current chunk closes once it holds
+    ``max(1, dispatched // (4 * workers))`` items, ``dispatched``
+    counting every item pushed in this level so far: the first and
+    costliest items go out alone, which keeps the load balanced, and the
+    cheap tail travels in ever larger chunks, which amortizes the pool's
+    per-task hand-off.  :meth:`drain` releases the partial chunk and
+    starts a new level, so a chunk never mixes levels.
+    """
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise SchedulingError("workers must be positive")
+        self._divisor = 4 * workers
+        self._dispatched = 0
+        self._chunk: list = []
+
+    def push(self, item) -> "list | None":
+        """Add one item; return the chunk it closes, or ``None``."""
+        self._chunk.append(item)
+        self._dispatched += 1
+        if len(self._chunk) >= max(1, self._dispatched // self._divisor):
+            chunk, self._chunk = self._chunk, []
+            return chunk
+        return None
+
+    def drain(self) -> list:
+        """Release the partial chunk (maybe empty) and reset the level."""
+        chunk, self._chunk = self._chunk, []
+        self._dispatched = 0
+        return chunk
+
+
 SCHEDULERS = {
     "lpt": schedule_lpt,
     "round_robin": schedule_round_robin,

@@ -224,6 +224,8 @@ class ExecutionTrace:
     pipeline mode one trace spans the whole run and ``levels`` holds one
     :class:`LevelDecomposition` per recursion level, so benchmarks can
     attribute wall-clock to decomposition versus enumeration per level.
+    ``pool_tasks`` counts worker-pool submissions (a chunk of blocks, a
+    bucket or a subtask is one task each).
     """
 
     timings: list[BlockTiming] = field(default_factory=list)
@@ -235,6 +237,7 @@ class ExecutionTrace:
     flushes: list[SegmentFlush] = field(default_factory=list)
     batches: list[BatchDispatch] = field(default_factory=list)
     bounds: list[BlockBound] = field(default_factory=list)
+    pool_tasks: int = 0
 
     def record(self, timing: BlockTiming) -> None:
         """Append one per-block record."""

@@ -159,6 +159,7 @@ class RunLog:
             self.manifest.partitions[level] = digest
             self.manifest.save(self.directory)
         elif stored != digest:
+            self._discard_empty_segment()
             raise ResumeMismatchError(
                 f"resume partition mismatch at level {level}: the blocks "
                 "differ from those the spill directory recorded.  Barrier "
@@ -166,6 +167,20 @@ class RunLog:
                 "non-int node labels; resume with the original hash seed, "
                 "or use pipeline mode, whose CSR decomposition does not"
             )
+
+    def _discard_empty_segment(self) -> None:
+        """Undo this session's segment if it never received a record.
+
+        A refused resume must leave the directory as it found it: close
+        and delete the segment opened at start-up and drop its name from
+        the manifest.  A segment holding records is kept.
+        """
+        if self.flushes:
+            return
+        self.close()
+        self._segment.path.unlink(missing_ok=True)
+        self.manifest.segments.remove(self._segment.path.name)
+        self.manifest.save(self.directory)
 
     def record(self, level: int, block_id: int, report: BlockReport) -> SegmentFlush:
         """Durably persist one finished block.

@@ -113,3 +113,25 @@ def small_corpus() -> list[tuple[str, Graph]]:
 CORPUS = small_corpus()
 CORPUS_IDS = [name for name, _ in CORPUS]
 CORPUS_GRAPHS = [graph for _, graph in CORPUS]
+
+
+@pytest.fixture
+def pool_submissions(monkeypatch) -> list[tuple[str, tuple]]:
+    """Record every task the shared-memory executor submits to its pools.
+
+    Each entry is ``(function name, positional arguments)`` in submit
+    order; the pool itself runs unchanged.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.distributed.executor as executor_module
+
+    submitted: list[tuple[str, tuple]] = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append((fn.__name__, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+    return submitted

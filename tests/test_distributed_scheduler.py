@@ -6,6 +6,7 @@ import pytest
 
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.scheduler import (
+    ChunkAccumulator,
     StealDeque,
     Task,
     lpt_order,
@@ -182,6 +183,43 @@ class TestStealDeque:
     def test_take_empty_raises(self):
         with pytest.raises(SchedulingError):
             StealDeque().take()
+
+
+class TestChunkAccumulator:
+    @staticmethod
+    def chunks_of(count: int, workers: int) -> list[list[int]]:
+        chunker = ChunkAccumulator(workers)
+        chunks = [chunk for chunk in map(chunker.push, range(count)) if chunk]
+        tail = chunker.drain()
+        return chunks + [tail] if tail else chunks
+
+    def test_singletons_until_eight_per_worker(self):
+        # max(1, dispatched // 8) stays 1 up to the 15th block.
+        assert self.chunks_of(15, 2) == [[i] for i in range(15)]
+
+    def test_chunks_grow_with_dispatched_count(self):
+        chunks = self.chunks_of(401, 2)
+        assert [x for chunk in chunks for x in chunk] == list(range(401))
+        sizes = [len(chunk) for chunk in chunks]
+        assert sizes[:15] == [1] * 15
+        assert sizes[15:17] == [2, 2]
+        assert sizes[:-1] == sorted(sizes[:-1])
+        assert len(chunks) < 401 // 5
+
+    def test_drain_releases_partial_chunk_and_resets_level(self):
+        chunker = ChunkAccumulator(1)
+        closed = [chunker.push(i) for i in range(9)]
+        assert closed[:7] == [[i] for i in range(7)]
+        assert closed[7:] == [None, [7, 8]]
+        assert chunker.push(9) is None
+        assert chunker.drain() == [9]
+        assert chunker.drain() == []
+        # A new level starts with singletons again.
+        assert chunker.push(10) == [10]
+
+    def test_rejects_no_workers(self):
+        with pytest.raises(SchedulingError):
+            ChunkAccumulator(0)
 
 
 class TestScheduleMetrics:

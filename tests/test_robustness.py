@@ -166,6 +166,109 @@ class TestSharedMemoryCrashSafety:
         assert os.environ[FAULT_INJECT_ENV] == "raise:0"
 
 
+class TestChunkCrashSafety:
+    """A worker dying inside a multi-block chunk loses the whole chunk.
+
+    Chunks are a transport unit only: every member of the lost chunk is
+    retried in the parent, one block at a time, and a raising block is
+    still named by its own id, not by its chunk's first block.
+    """
+
+    WORKERS = 2
+    M = 20
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return social_network(300, seed=7)
+
+    @staticmethod
+    def chunks_by_level(submissions) -> list[list[list[int]]]:
+        """Block ids of every submitted chunk, grouped by snapshot."""
+        levels: dict[str, list[list[int]]] = {}
+        for name, args in submissions:
+            handle, chunk = (None, args[0]) if name == "_shm_analyze" else args
+            key = handle.indptr_name if handle is not None else ""
+            levels.setdefault(key, []).append([d.block_id for d in chunk])
+        return list(levels.values())
+
+    def barrier_target(self, graph, submissions):
+        feasible, _ = cut(graph, self.M)
+        blocks = build_blocks(graph, feasible, self.M)
+        SharedMemoryExecutor(max_workers=self.WORKERS).map_blocks(
+            blocks, graph=graph
+        )
+        [chunks] = self.chunks_by_level(submissions)
+        chunk = next(chunk for chunk in chunks if len(chunk) >= 2)
+        submissions.clear()
+        return blocks, chunk, chunk[1]
+
+    def pipeline_target(self, graph, submissions):
+        clean = find_max_cliques(
+            graph,
+            self.M,
+            executor=SharedMemoryExecutor(max_workers=self.WORKERS),
+            pipeline=True,
+        )
+        first, *rest = self.chunks_by_level(submissions)
+        # A block id no later level reuses, so the fault fires only in
+        # the chosen level-0 chunk.
+        later_ids = {block_id for chunks in rest for c in chunks for block_id in c}
+        chunk = next(
+            chunk for chunk in first
+            if len(chunk) >= 2 and chunk[1] not in later_ids
+        )
+        submissions.clear()
+        return clean, chunk, chunk[1]
+
+    def test_barrier_kill_retries_the_whole_chunk(
+        self, graph, pool_submissions, monkeypatch
+    ):
+        blocks, chunk, target = self.barrier_target(graph, pool_submissions)
+        reference, _ = analyze_blocks(blocks)
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"kill:{target}")
+        executor = SharedMemoryExecutor(max_workers=self.WORKERS)
+        reports = executor.map_blocks(blocks, graph=graph)
+        assert [c for r in reports for c in r.cliques] == reference
+        assert set(chunk) <= set(executor.last_trace.retried_blocks)
+        assert _leaked_segments() == []
+
+    def test_barrier_raise_names_the_block_not_the_chunk(
+        self, graph, pool_submissions, monkeypatch
+    ):
+        blocks, _, target = self.barrier_target(graph, pool_submissions)
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"raise:{target}")
+        executor = SharedMemoryExecutor(max_workers=self.WORKERS)
+        with pytest.raises(ExecutorError, match=f"block {target} ") as excinfo:
+            executor.map_blocks(blocks, graph=graph)
+        assert excinfo.value.block_id == target
+        assert _leaked_segments() == []
+
+    def test_pipeline_kill_retries_the_whole_chunk(
+        self, graph, pool_submissions, monkeypatch
+    ):
+        clean, chunk, target = self.pipeline_target(graph, pool_submissions)
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"kill:{target}")
+        executor = SharedMemoryExecutor(max_workers=self.WORKERS)
+        result = find_max_cliques(
+            graph, self.M, executor=executor, pipeline=True
+        )
+        assert list(result.cliques) == list(clean.cliques)
+        assert set(result.cliques) == nx_cliques(graph)
+        assert set(chunk) <= set(executor.last_trace.retried_blocks)
+        assert _leaked_segments() == []
+
+    def test_pipeline_raise_names_the_block_not_the_chunk(
+        self, graph, pool_submissions, monkeypatch
+    ):
+        _, _, target = self.pipeline_target(graph, pool_submissions)
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"raise:{target}")
+        executor = SharedMemoryExecutor(max_workers=self.WORKERS)
+        with pytest.raises(ExecutorError, match=f"block {target} ") as excinfo:
+            find_max_cliques(graph, self.M, executor=executor, pipeline=True)
+        assert excinfo.value.block_id == target
+        assert _leaked_segments() == []
+
+
 class TestSubtaskCrashSafety:
     """A worker dying mid-subtask retries only that subtask.
 

@@ -386,6 +386,18 @@ class TestHashSeedGuard:
         resumed = run_child(tmp_path, 0, resume=True)
         assert tuple(map(tuple, resumed)) == string_golden
 
+    def test_refused_resume_leaves_the_directory_unchanged(self, tmp_path):
+        self.crash(tmp_path)
+
+        def snapshot():
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            return files, load_manifest(tmp_path).segments
+
+        before = snapshot()
+        refused = run_child(tmp_path, 1, resume=True)
+        assert refused["error"] == "ResumeMismatchError"
+        assert snapshot() == before
+
     def test_pipeline_resume_is_hash_seed_independent(
         self, string_golden, tmp_path
     ):
